@@ -1,11 +1,17 @@
 // caee_serve: the ONLINE half of the train/serve split (paper Sec. 4.2.7).
 //
 // Loads an artifact written by caee_train in a fresh process — no access to
-// the training data or code path — and serves it in one of two modes
-// (docs/serving.md has the full story):
+// the training data or code path — and serves it (docs/serving.md has the
+// full story). Every serving mode is a reader in front of ONE request path,
+// serve::Dispatcher: it makes the ServingEngine call for each request frame,
+// answers through one serialised response sink, owns the deadline flusher
+// and the drift/health advisories, and drains and summarises at the end.
+// This file only parses arguments and reads input.
 //
-// SINGLE-STREAM (default): each CSV line is one observation, each warm
-// observation gets a score and a threshold verdict on stdout.
+// SINGLE-STREAM (default): each CSV line is one observation of stream 0 on
+// a one-shard engine with max-batch 1 (every warm observation scores
+// inline) and no deadline flusher; each score prints as
+// `index,score,flag` on stdout.
 //
 //   caee_train --synthetic SMD --output model.caee --dump-input train.csv
 //   caee_serve --model model.caee --input train.csv
@@ -13,74 +19,63 @@
 //
 // With --expect-scores FILE (the batch scores caee_train dumped), the tool
 // verifies that the streaming path reproduces the offline scores for every
-// post-warm-up observation and exits non-zero on any mismatch — the
-// round-trip check CI runs.
+// post-warm-up observation and exits non-zero on any mismatch.
 //
 // MULTI-STREAM (--streams): one process serves N independent series against
-// the same loaded ensemble, sharded across --shards independent engine
-// shards (stream id -> shard by hash; see docs/serving.md), scoring ready
-// windows from different streams in one batched forward pass per shard
-// (serve::ServingEngine). Text input lines:
+// the same loaded ensemble, sharded across --shards engine shards and
+// micro-batched per shard (serve::ServingEngine). Text input lines
+// (serve/text_protocol.h):
 //
-//   open,<id>            open a session for stream <id>
-//   <id>,v1,v2,...       one observation for stream <id>
-//   close,<id>           close the session (its shard's pending windows
-//                        are flushed)
+//   open,<id>[,static|spot]   open a session for stream <id>
+//   <id>,v1,v2,...            one observation for stream <id>
+//   close,<id>                close the session (its shard's pending
+//                             windows are flushed)
+//   reload,<path> / health    admin: hot-swap the artifact / report health
 //
-// Output lines are `stream,index,score,flag`. --max-batch bounds each
-// shard's micro-batch; --flush-ms bounds how long a ready window may wait
-// when input trickles (a background timer flushes expired batches, so a
-// stalled stdin cannot hold scores hostage). Scores are bitwise identical
-// to serving each stream in its own single-stream process, at ANY shard
-// count.
+// Each line is encoded to the request frame --encode-frames would write, and
+// each answer printed as --decode-frames would print it: scores as
+// `stream,index,score,flag`. A rejected reload is degraded mode (reported,
+// serving continues); any other error or backpressure answer fails the run,
+// naming the line. Scores are bitwise identical to serving each stream in
+// its own single-stream process, at ANY shard count.
 //
-// BINARY PROTOCOL (--streams --binary): same session semantics over the
-// length-prefixed CRC-checked framing of docs/protocol.md — requests in on
-// stdin, response frames (score/ok/error/backpressure) out on stdout.
-// --max-pending arms per-shard admission control: a push to a full shard
-// is answered with a backpressure frame and consumes nothing. The
-// --encode-frames / --decode-frames translator modes (no --model needed)
-// convert the text protocol to request frames and response frames back to
-// text — `caee_serve --encode-frames | caee_serve --streams --binary |
-// caee_serve --decode-frames` is byte-identical to the text pipeline, the
-// equivalence CI smoke-checks.
+// BINARY PROTOCOL (--streams --binary): the same requests as the
+// length-prefixed CRC-checked frames of docs/protocol.md on stdin, response
+// frames (score/ok/error/backpressure/health-status) on stdout; tenant
+// errors are answered and serving continues. --max-pending arms per-shard
+// admission control. `caee_serve --encode-frames | caee_serve --streams
+// --binary | caee_serve --decode-frames` is byte-identical to the text
+// pipeline (no --model needed for the two translators).
 //
-// OPERATIONS (docs/operations.md): in multi-stream modes a
-// `reload,<path>` line (or a reload frame in binary mode) hot-swaps the
-// serving artifact with zero downtime — open sessions keep scoring, a
-// rejected candidate leaves the old generation serving. --drift-threshold
-// arms the drift -> repair escalation: when the SPOT exceed-rate drifts
-// past it, an advisory naming caee_repair lands on stderr. --health arms
-// unsupervised model-health validation against the artifact's calibration
-// reference: reload candidates are canary-judged on retained live windows
-// before any shard switches, and a model-degradation verdict during the
-// post-swap probation rolls back to the last-known-good generation
-// automatically. SIGTERM/SIGINT stop intake, drain every shard, and exit
-// 0 — scores already owed are delivered, not dropped.
+// OPERATIONS (docs/operations.md): a reload request hot-swaps the serving
+// artifact with zero downtime; --drift-threshold arms the drift -> repair
+// advisory; --health arms canary-judged reloads and probation rollback.
+// SIGTERM/SIGINT stop intake, drain every shard, and exit 0 — scores
+// already owed are delivered, not dropped.
 
-#include <atomic>
-#include <chrono>
+#include <algorithm>
 #include <cmath>
 #include <csignal>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <mutex>
-#include <sstream>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "cli_util.h"
 #include "core/persistence.h"
-#include "core/streaming.h"
+#include "serve/dispatcher.h"
 #include "serve/framing.h"
 #include "serve/serving_engine.h"
+#include "serve/text_protocol.h"
 
 using namespace caee;
 
 namespace {
+
+namespace fr = serve::framing;
 
 const char kUsage[] =
     "usage: caee_serve --model model.caee [--input obs.csv] [--threads T]\n"
@@ -108,10 +103,9 @@ const char kUsage[] =
     "  admin line `reload,<path>` (hot-swap the serving artifact with zero\n"
     "  downtime; a rejected candidate keeps the old one serving —\n"
     "  docs/operations.md); output is `stream,index,score,flag`. Sessions\n"
-    "  are sharded across\n"
-    "  --shards\n"
-    "  (default 1) independent engine shards; ready windows from different\n"
-    "  streams of a shard are scored in one batched forward pass\n"
+    "  are sharded across --shards (default 1) independent engine shards;\n"
+    "  ready windows from different streams of a shard are scored in one\n"
+    "  batched forward pass\n"
     "  (<= --max-batch windows, default 8); --flush-ms (default 50,\n"
     "  0 = off) bounds the wait of a partially filled batch.\n"
     "  --binary swaps the text protocol for the length-prefixed binary\n"
@@ -148,8 +142,8 @@ int Fail(const Status& status) {
 // ---------------------------------------------------------------------------
 // Graceful shutdown (docs/operations.md).
 //
-// SIGTERM/SIGINT set a flag; every read loop checks it and treats it as
-// end-of-input, which funnels into the normal drain path: every shard's
+// SIGTERM/SIGINT set a flag; every reader checks it and treats it as
+// end-of-input, which funnels into the Dispatcher's drain: every shard's
 // pending windows are scored and delivered, the deadline flusher is
 // joined, the summary prints, and the process exits 0. The handler is
 // installed WITHOUT SA_RESTART on purpose — a getline/ReadFrame blocked
@@ -176,178 +170,7 @@ void InstallShutdownHandler() {
 #endif
 }
 
-bool ParseObservation(const std::string& line, std::vector<float>* out) {
-  out->clear();
-  std::stringstream ss(line);
-  std::string cell;
-  while (std::getline(ss, cell, ',')) {
-    try {
-      size_t consumed = 0;
-      const float value = std::stof(cell, &consumed);
-      if (consumed != cell.size()) return false;  // "1.2.3" etc.
-      out->push_back(value);
-    } catch (...) {
-      return false;
-    }
-  }
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// Single-stream mode (the PR-2 behavior, unchanged).
-// ---------------------------------------------------------------------------
-
-int RunSingleStream(const cli::Args& args, core::CaeEnsemble& ensemble,
-                    double threshold, core::ThresholdPolicy policy,
-                    const std::optional<core::SpotInit>& spot,
-                    std::istream& in) {
-  std::vector<double> expected;
-  if (args.Has("expect-scores")) {
-    std::ifstream scores_in(args.Get("expect-scores", ""));
-    if (!scores_in) {
-      return Fail(Status::IOError("cannot open expected-scores file"));
-    }
-    double value = 0.0;
-    while (scores_in >> value) expected.push_back(value);
-    if (expected.empty()) {
-      return Fail(Status::InvalidArgument(
-          "expected-scores file has no scores — nothing would be verified"));
-    }
-  }
-  const double tolerance = args.GetDouble("tolerance", 0.0);
-
-  core::StreamingScorer scorer(&ensemble);
-  // The single-stream SPOT path is the same owning state the serve tests
-  // use as the sequential reference for the sharded engine.
-  std::optional<core::SpotState> spot_state;
-  if (policy == core::ThresholdPolicy::kSpot) spot_state.emplace(*spot);
-  std::string line;
-  std::vector<float> observation;
-  int64_t index = -1, scored = 0, alerts = 0, mismatches = 0;
-  int64_t non_finite = 0;
-  double worst_diff = 0.0;
-  while (!g_shutdown && std::getline(in, line)) {
-    if (line.empty()) continue;
-    ++index;
-    if (!ParseObservation(line, &observation)) {
-      return Fail(Status::InvalidArgument("non-numeric observation at line " +
-                                          std::to_string(index + 1)));
-    }
-    auto result = scorer.Push(observation);
-    if (!result.ok()) return Fail(result.status());
-    if (!result->has_value()) continue;  // warming up
-    const double score = result->value();
-    // ThresholdExceeded, not `score > threshold`: a NaN score must flag
-    // (with no calibrated threshold the static policy otherwise never
-    // flags — threshold is +inf — but a non-finite score still must).
-    const bool flag = spot_state.has_value()
-                          ? spot_state->Observe(score)
-                          : core::ThresholdExceeded(score, threshold);
-    non_finite += !std::isfinite(score);
-    ++scored;
-    alerts += flag;
-    std::cout << index << "," << score << "," << (flag ? 1 : 0) << "\n";
-    if (!expected.empty()) {
-      // Batch scores cover every observation, but the first w-1 are scored
-      // from the first window only in the batch policy (Fig. 10) and are
-      // unavailable while streaming warms up — so compare from w-1 onward.
-      if (index >= static_cast<int64_t>(expected.size())) {
-        return Fail(Status::InvalidArgument(
-            "more observations than expected scores"));
-      }
-      const double diff =
-          std::fabs(score - expected[static_cast<size_t>(index)]);
-      if (!(diff <= tolerance)) {
-        ++mismatches;
-        worst_diff = std::max(worst_diff, diff);
-        if (mismatches <= 5) {
-          std::cerr << "MISMATCH at " << index << ": streaming " << score
-                    << " vs batch " << expected[static_cast<size_t>(index)]
-                    << "\n";
-        }
-      }
-    }
-  }
-
-  if (g_shutdown) {
-    std::cerr << "caee_serve: caught shutdown signal, stopping intake\n";
-  }
-  std::cerr << "scored " << scored << " observations, " << alerts
-            << " flagged, " << non_finite << " non-finite scores ("
-            << core::ThresholdPolicyName(policy) << " policy)\n";
-  if (!expected.empty()) {
-    if (mismatches > 0) {
-      std::cerr << mismatches << " streaming/batch mismatches (worst |diff| "
-                << worst_diff << ")\n";
-      return 1;
-    }
-    // Guard against a vacuous pass: every expected score past warm-up must
-    // actually have been compared (a truncated --input would otherwise
-    // report success after verifying only a prefix).
-    const int64_t w = ensemble.config().window;
-    const int64_t verifiable =
-        static_cast<int64_t>(expected.size()) - (w - 1);
-    if (scored == 0 || scored < verifiable) {
-      std::cerr << "only " << scored << " of " << verifiable
-                << " expected post-warm-up scores were verified (input or "
-                   "expected-scores file truncated?)\n";
-      return 1;
-    }
-    std::cerr << "streaming scores reproduce the offline batch scores ("
-              << scored << " observations, tolerance " << tolerance << ")\n";
-  }
-  return 0;
-}
-
-// ---------------------------------------------------------------------------
-// Multi-stream mode.
-// ---------------------------------------------------------------------------
-
-// `open,3` / `open,3,spot` / `close,3` control lines. Returns false for
-// data lines; a threshold-policy suffix is legal only on open.
-bool ParseControl(const std::string& line, std::string* verb, int64_t* id,
-                  std::optional<core::ThresholdPolicy>* policy) {
-  policy->reset();
-  const size_t comma = line.find(',');
-  if (comma == std::string::npos) return false;
-  const std::string head = line.substr(0, comma);
-  if (head != "open" && head != "close") return false;
-  std::string rest = line.substr(comma + 1);
-  const size_t second = rest.find(',');
-  if (second != std::string::npos) {
-    if (head != "open") return false;
-    auto parsed = core::ParseThresholdPolicy(rest.substr(second + 1));
-    if (!parsed.ok()) return false;
-    *policy = parsed.value();
-    rest.resize(second);
-  }
-  try {
-    size_t consumed = 0;
-    *id = std::stoll(rest, &consumed);
-    if (consumed != rest.size()) return false;
-  } catch (...) {
-    return false;
-  }
-  *verb = head;
-  return true;
-}
-
-// `3,0.5,1.2` — stream id, then the observation values.
-bool ParseStreamObservation(const std::string& line, int64_t* id,
-                            std::vector<float>* out) {
-  const size_t comma = line.find(',');
-  if (comma == std::string::npos) return false;
-  try {
-    size_t consumed = 0;
-    *id = std::stoll(line.substr(0, comma), &consumed);
-    if (consumed != comma) return false;
-  } catch (...) {
-    return false;
-  }
-  return ParseObservation(line.substr(comma + 1), out);
-}
-
-StatusOr<serve::ServeConfig> MultiStreamConfig(const cli::Args& args) {
+StatusOr<serve::ServeConfig> ServeConfigFromArgs(const cli::Args& args) {
   serve::ServeConfig config;
   config.max_batch = args.GetInt("max-batch", 8);
   config.flush_deadline_ms = args.GetInt("flush-ms", 50);
@@ -405,477 +228,210 @@ StatusOr<serve::ServeConfig> MultiStreamConfig(const cli::Args& args) {
   return config;
 }
 
-// Shared by both multi-stream modes: one drift poll, advisory on stderr.
-// The DriftMonitor's hysteresis guarantees at most one advisory per
-// excursion, so polling from both the line loop and the deadline flusher
-// cannot double-report.
-void PollDriftAdvisory(serve::ServingEngine& engine) {
-  if (engine.config().drift_threshold <= 0.0) return;
-  const auto repair = engine.PollDrift();
-  if (!repair.has_value()) return;
-  std::cerr << "drift alert: |exceed-rate shift| " << repair->drift
-            << " over " << repair->drift_window
-            << " recent scores on generation " << repair->generation
-            << " exceeds --drift-threshold "
-            << engine.config().drift_threshold
-            << "; repair with caee_repair and hot-swap the result via "
-               "`reload,<path>` (docs/operations.md)\n";
+// A request line the text protocol cannot encode, named by its number.
+Status BadLine(int64_t line_no, const Status& why) {
+  return Status(why.code(),
+                "line " + std::to_string(line_no) + " " + why.message());
 }
 
-// Shared by both multi-stream modes: one health poll, excursions on
-// stderr. Same double-report immunity as PollDriftAdvisory: the
-// HealthMonitor's per-signal hysteresis fires each excursion once.
-// A rollback notice names the restored generation so the operator knows
-// the bad candidate is already out of service.
-void PollHealthAdvisory(serve::ServingEngine& engine) {
-  if (!engine.config().health.enabled) return;
-  const auto event = engine.PollHealth();
-  if (!event.has_value()) return;
-  std::cerr << "health alert ("
-            << serve::HealthVerdictName(event->verdict) << "): "
-            << serve::HealthSignalName(event->signal) << " " << event->value
-            << " over " << event->window
-            << " recent scores on generation " << event->generation
-            << " exceeds " << event->threshold;
-  if (event->rolled_back) {
-    std::cerr << "; rolled back to last-known-good generation "
-              << event->rolled_back_to << " (docs/operations.md)\n";
-  } else if (event->verdict == serve::HealthVerdict::kDataDrift) {
-    std::cerr << "; the DATA has likely shifted — repair with caee_repair "
-                 "and hot-swap the result via `reload,<path>` "
-                 "(docs/operations.md)\n";
-  } else {
-    std::cerr << "; the MODEL looks degraded — hot-swap a known-good "
-                 "artifact via `reload,<path>` (docs/operations.md)\n";
-  }
-}
-
-// `health` admin line: report the live model-health gauges on stderr.
-// Answered even without --health (says monitoring is off) so a generic
-// operator script needs no mode flag.
-void HandleTextHealth(serve::ServingEngine& engine) {
-  if (!engine.config().health.enabled) {
-    std::cerr << "health: monitoring off (serve with --health)\n";
-    return;
-  }
-  const serve::EngineStats stats = engine.Stats();
-  std::cerr << "health: generation " << stats.generation << ", "
-            << stats.health_window << " recent scores, score-shift "
-            << stats.score_shift << ", dispersion-ratio "
-            << stats.dispersion_ratio << ", non-finite-rate "
-            << stats.non_finite_rate << ", alert-rate " << stats.alert_rate
-            << ", " << stats.canary_rejections << " canary rejection(s), "
-            << stats.rollbacks << " rollback(s)\n";
-}
-
-// `reload,<path>` admin line: hot-swap with zero downtime. A failure is
-// DEGRADED MODE, not fatal — the engine keeps serving the old generation
-// and the error (which names the live generation) goes to stderr.
-void HandleTextReload(serve::ServingEngine& engine, const std::string& path) {
-  auto swapped = engine.ReloadArtifact(path);
-  if (swapped.ok()) {
-    std::cerr << "reloaded: now serving generation " << swapped.value()
-              << " from " << path << "\n";
-  } else {
-    std::cerr << "caee_serve: " << swapped.status() << "\n";
-  }
-}
-
-int RunMultiStream(const cli::Args& args, core::CaeEnsemble& ensemble,
-                   std::optional<double> threshold,
-                   core::ThresholdPolicy policy,
-                   const std::optional<core::SpotInit>& spot,
-                   const std::optional<core::HealthRef>& health,
-                   std::istream& in) {
-  auto config_or = MultiStreamConfig(args);
-  if (!config_or.ok()) return Fail(config_or.status());
-  serve::ServeConfig config = config_or.value();
-  config.threshold_policy = policy;
-  serve::ServingEngine engine(&ensemble, config, threshold, spot, health);
-
-  // Delivery is the single tally point: scores can arrive from the main
-  // loop OR from the deadline timer below, and both must count toward the
-  // end-of-run summary.
-  std::mutex out_mu;
-  int64_t scored = 0, alerts = 0;
-  auto deliver = [&](const std::vector<serve::StreamScore>& results) {
-    if (results.empty()) return;
-    std::lock_guard<std::mutex> lock(out_mu);
-    for (const auto& r : results) {
-      ++scored;
-      alerts += r.flag;
-      std::cout << r.stream_id << "," << r.index << "," << r.score << ","
-                << (r.flag ? 1 : 0) << "\n";
-    }
-    std::cout.flush();
-  };
-
-  // Deadline timer: stdin can stall with a partially filled batch pending;
-  // this thread keeps the flush-deadline promise regardless. A failing
-  // flush is not swallowed: it parks the status for the main loop to
-  // report and stops retrying.
-  std::atomic<bool> done{false};
-  std::mutex flusher_status_mu;
-  Status flusher_status;  // guarded by flusher_status_mu
-  std::thread flusher;
-  if (config.flush_deadline_ms > 0) {
-    flusher = std::thread([&] {
-      const auto tick =
-          std::chrono::milliseconds(std::max<int64_t>(
-              1, config.flush_deadline_ms / 2));
-      while (!done.load()) {
-        std::this_thread::sleep_for(tick);
-        std::vector<serve::StreamScore> results;
-        const Status status = engine.FlushIfExpired(&results);
-        if (!status.ok()) {
-          std::lock_guard<std::mutex> lock(flusher_status_mu);
-          flusher_status = status;
-          return;
-        }
-        deliver(results);
-        PollDriftAdvisory(engine);
-        PollHealthAdvisory(engine);
-      }
-    });
-  }
-  auto stop_flusher = [&] {
-    done.store(true);
-    if (flusher.joinable()) flusher.join();
-  };
-  auto check_flusher = [&]() -> Status {
-    std::lock_guard<std::mutex> lock(flusher_status_mu);
-    return flusher_status;
-  };
-
-  std::string line;
-  std::vector<float> observation;
-  int64_t line_no = 0;
-  while (!g_shutdown && std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    if (Status status = check_flusher(); !status.ok()) {
-      stop_flusher();
-      return Fail(Status(status.code(),
-                         "deadline flush failed: " + status.message()));
-    }
-    if (line.rfind("reload,", 0) == 0) {
-      HandleTextReload(engine, line.substr(7));
-      continue;
-    }
-    if (line == "health") {
-      HandleTextHealth(engine);
-      continue;
-    }
-    std::vector<serve::StreamScore> results;
-    Status status;
-    std::string verb;
-    int64_t id = 0;
-    std::optional<core::ThresholdPolicy> open_policy;
-    if (ParseControl(line, &verb, &id, &open_policy)) {
-      status = verb == "open"
-                   ? (open_policy.has_value()
-                          ? engine.OpenStream(id, *open_policy)
-                          : engine.OpenStream(id))
-                   : engine.CloseStream(id, &results);
-    } else if (ParseStreamObservation(line, &id, &observation)) {
-      status = engine.Push(id, observation, &results);
-    } else {
-      stop_flusher();
-      return Fail(Status::InvalidArgument(
-          "line " + std::to_string(line_no) +
-          " is neither `open,<id>[,static|spot]`/`close,<id>` nor "
-          "`<id>,v1,v2,...`"));
-    }
-    if (!status.ok()) {
-      stop_flusher();
-      return Fail(Status(status.code(), "line " + std::to_string(line_no) +
-                                            ": " + status.message()));
-    }
-    deliver(results);
-    PollDriftAdvisory(engine);
-    PollHealthAdvisory(engine);
-  }
-
-  // End of input (or a shutdown signal): drain the queue, then stop the
-  // timer — scores already owed are delivered, not dropped.
+// End of input or a shutdown signal: the Dispatcher drains every shard and
+// prints the summary — scores already owed are delivered, not dropped.
+int Drain(serve::Dispatcher& dispatcher) {
   if (g_shutdown) {
     std::cerr << "caee_serve: caught shutdown signal, draining shards\n";
   }
-  std::vector<serve::StreamScore> results;
-  const Status status = engine.Flush(&results);
-  stop_flusher();
-  if (!status.ok()) return Fail(status);
-  if (Status parked = check_flusher(); !parked.ok()) {
-    return Fail(Status(parked.code(),
-                       "deadline flush failed: " + parked.message()));
-  }
-  deliver(results);
-
-  const serve::EngineStats stats = engine.Stats();
-  std::cerr << "scored " << scored << " windows across streams, " << alerts
-            << " flagged, " << stats.non_finite_scores
-            << " non-finite scores (" << engine.num_streams()
-            << " sessions still open at EOF)\n";
-  if (stats.reloads + stats.failed_reloads > 0) {
-    std::cerr << "generation " << stats.generation << " live after "
-              << stats.reloads << " reload(s), " << stats.failed_reloads
-              << " rejected\n";
-  }
-  if (engine.spot() != nullptr) {
-    std::cerr << "drift: |exceed-rate shift| " << stats.drift << " over "
-              << stats.drift_window << " recent scores vs the calibration "
-              << "baseline (docs/thresholds.md)\n";
-  }
-  if (config.health.enabled) {
-    std::cerr << "health: " << stats.canary_rejections
-              << " canary rejection(s), " << stats.rollbacks
-              << " rollback(s), gauges over " << stats.health_window
-              << " recent scores: score-shift " << stats.score_shift
-              << ", dispersion-ratio " << stats.dispersion_ratio
-              << ", non-finite-rate " << stats.non_finite_rate
-              << ", alert-rate " << stats.alert_rate
-              << " (docs/operations.md)\n";
-  }
-  return 0;
+  const Status status = dispatcher.Drain();
+  return status.ok() ? 0 : Fail(status);
 }
 
 // ---------------------------------------------------------------------------
-// Binary-protocol multi-stream mode (docs/protocol.md).
+// Readers: each turns its input into request frames for the Dispatcher.
 // ---------------------------------------------------------------------------
 
-int RunMultiStreamBinary(const cli::Args& args, core::CaeEnsemble& ensemble,
-                         std::optional<double> threshold,
-                         core::ThresholdPolicy policy,
-                         const std::optional<core::SpotInit>& spot,
-                         const std::optional<core::HealthRef>& health,
-                         std::istream& in) {
-  namespace fr = serve::framing;
-  auto config_or = MultiStreamConfig(args);
-  if (!config_or.ok()) return Fail(config_or.status());
-  serve::ServeConfig config = config_or.value();
-  config.threshold_policy = policy;
-  serve::ServingEngine engine(&ensemble, config, threshold, spot, health);
-
-  // One serialisation point for response frames: scores can come from the
-  // main loop or the deadline timer, and frames must never interleave
-  // mid-frame on the wire.
-  std::mutex out_mu;
-  int64_t scored = 0, alerts = 0, backpressured = 0;
-  auto respond = [&](const fr::Frame& frame) {
-    std::lock_guard<std::mutex> lock(out_mu);
+// --streams --binary: response frames straight onto stdout.
+class FrameSink : public serve::ResponseSink {
+ public:
+  void Write(const fr::Frame& frame) override {
     fr::WriteFrame(std::cout, frame);
-  };
-  auto deliver = [&](const std::vector<serve::StreamScore>& results) {
-    if (results.empty()) return;
-    std::lock_guard<std::mutex> lock(out_mu);
-    for (const auto& r : results) {
-      ++scored;
-      alerts += r.flag;
-      fr::WriteFrame(std::cout, fr::MakeScoreFrame(r));
-    }
-    std::cout.flush();
-  };
-
-  std::atomic<bool> done{false};
-  std::mutex flusher_status_mu;
-  Status flusher_status;  // guarded by flusher_status_mu
-  std::thread flusher;
-  if (config.flush_deadline_ms > 0) {
-    flusher = std::thread([&] {
-      const auto tick = std::chrono::milliseconds(
-          std::max<int64_t>(1, config.flush_deadline_ms / 2));
-      while (!done.load()) {
-        std::this_thread::sleep_for(tick);
-        std::vector<serve::StreamScore> results;
-        const Status status = engine.FlushIfExpired(&results);
-        if (!status.ok()) {
-          std::lock_guard<std::mutex> lock(flusher_status_mu);
-          flusher_status = status;
-          return;
-        }
-        deliver(results);
-        PollDriftAdvisory(engine);
-        PollHealthAdvisory(engine);
-      }
-    });
   }
-  auto stop_flusher = [&] {
-    done.store(true);
-    if (flusher.joinable()) flusher.join();
-  };
-  auto check_flusher = [&]() -> Status {
-    std::lock_guard<std::mutex> lock(flusher_status_mu);
-    return flusher_status;
-  };
+  void Flush() override { std::cout.flush(); }
+};
 
-  // Tenant-level rejections (unknown stream, width mismatch, double open,
-  // full shard) are ANSWERED — an error or backpressure frame — and the
-  // server keeps serving; only wire-level corruption (truncation, CRC,
-  // version skew) is fatal, because a byte stream cannot resync past it.
+int ServeBinary(serve::Dispatcher& dispatcher, std::istream& in) {
+  // Only wire-level corruption (truncation, CRC, version skew) is fatal: a
+  // byte stream cannot resync past it. Tenant errors are answered.
   fr::Frame frame;
-  std::vector<float> observation;
-  std::vector<serve::StreamScore> results;
   int64_t frame_no = 0;
   while (!g_shutdown) {
-    if (Status status = check_flusher(); !status.ok()) {
-      stop_flusher();
-      return Fail(Status(status.code(),
-                         "deadline flush failed: " + status.message()));
+    if (Status status = dispatcher.flusher_status(); !status.ok()) {
+      return Fail(status);
     }
     bool eof = false;
     if (Status status = fr::ReadFrame(in, &frame, &eof); !status.ok()) {
       // A frame cut mid-read by the shutdown signal (EINTR) is the signal
       // doing its job, not wire corruption: stop intake and drain.
       if (g_shutdown) break;
-      stop_flusher();
       return Fail(Status(status.code(), "frame " + std::to_string(frame_no) +
                                             ": " + status.message()));
     }
     if (eof) break;
     ++frame_no;
-    results.clear();
-    switch (frame.frame_type()) {
-      case fr::FrameType::kOpen: {
-        // An empty payload opens with the server's default policy; a
-        // 1-byte payload selects per session (docs/protocol.md). A
-        // malformed payload is a tenant error, answered not fatal.
-        std::optional<core::ThresholdPolicy> open_policy;
-        Status status = fr::ParseOpenPolicy(frame, &open_policy);
-        if (status.ok()) {
-          status = open_policy.has_value()
-                       ? engine.OpenStream(frame.stream_id, *open_policy)
-                       : engine.OpenStream(frame.stream_id);
-        }
-        respond(status.ok() ? fr::MakeOkFrame(frame.stream_id)
-                            : fr::MakeErrorFrame(frame.stream_id, status));
-        break;
-      }
-      case fr::FrameType::kClose: {
-        const Status status = engine.CloseStream(frame.stream_id, &results);
-        deliver(results);
-        respond(status.ok() ? fr::MakeOkFrame(frame.stream_id)
-                            : fr::MakeErrorFrame(frame.stream_id, status));
-        break;
-      }
-      case fr::FrameType::kObserve: {
-        if (Status status = fr::ParseObserve(frame, &observation);
-            !status.ok()) {
-          respond(fr::MakeErrorFrame(frame.stream_id, status));
-          break;
-        }
-        const Status status =
-            engine.Push(frame.stream_id, observation, &results);
-        if (status.code() == StatusCode::kResourceExhausted) {
-          ++backpressured;
-          respond(fr::MakeBackpressureFrame(frame.stream_id));
-        } else if (!status.ok()) {
-          respond(fr::MakeErrorFrame(frame.stream_id, status));
-        } else {
-          deliver(results);
-        }
-        break;
-      }
-      case fr::FrameType::kFlush: {
-        const Status status = engine.Flush(&results);
-        deliver(results);
-        if (!status.ok()) {
-          respond(fr::MakeErrorFrame(0, status));
-        }
-        break;
-      }
-      case fr::FrameType::kReload: {
-        // Admin hot-swap. A rejected candidate is answered with an error
-        // frame (the engine keeps serving the old generation); only the
-        // wire layer can be fatal here.
-        std::string path;
-        Status status = fr::ParseReload(frame, &path);
-        if (status.ok()) {
-          auto swapped = engine.ReloadArtifact(path);
-          if (swapped.ok()) {
-            std::cerr << "reloaded: now serving generation "
-                      << swapped.value() << " from " << path << "\n";
-          } else {
-            status = swapped.status();
-          }
-        }
-        respond(status.ok() ? fr::MakeOkFrame(frame.stream_id)
-                            : fr::MakeErrorFrame(frame.stream_id, status));
-        break;
-      }
-      case fr::FrameType::kHealth: {
-        // Admin health report: always answered, even without --health
-        // (enabled=false, gauges zero) — monitoring clients need no mode
-        // flag. Counters come from the same EngineStats the text mode
-        // prints (aggregation contract in serve/shard.h).
-        const serve::EngineStats stats = engine.Stats();
-        fr::HealthStatus health_status;
-        health_status.enabled = config.health.enabled;
-        health_status.generation = stats.generation;
-        health_status.window = stats.health_window;
-        health_status.score_shift = stats.score_shift;
-        health_status.dispersion_ratio = stats.dispersion_ratio;
-        health_status.non_finite_rate = stats.non_finite_rate;
-        health_status.alert_rate = stats.alert_rate;
-        health_status.rollbacks = stats.rollbacks;
-        health_status.canary_rejections = stats.canary_rejections;
-        respond(fr::MakeHealthStatusFrame(health_status));
-        break;
-      }
-      default:
-        respond(fr::MakeErrorFrame(
-            frame.stream_id,
-            Status::InvalidArgument("unknown frame type " +
-                                    std::to_string(frame.type))));
-        break;
+    dispatcher.Handle(frame);
+  }
+  return Drain(dispatcher);
+}
+
+// --streams: answers printed exactly as --decode-frames prints them. Error
+// and backpressure answers are left to the reader, which reports them
+// against the line that caused them.
+class TextSink : public serve::ResponseSink {
+ public:
+  void Write(const fr::Frame& frame) override {
+    if (frame.frame_type() == fr::FrameType::kError ||
+        frame.frame_type() == fr::FrameType::kBackpressure) {
+      return;
     }
-    PollDriftAdvisory(engine);
-    PollHealthAdvisory(engine);
+    serve::text::PrintResponse(frame, std::cout, std::cerr);
+  }
+  void Flush() override { std::cout.flush(); }
+};
+
+int ServeText(serve::Dispatcher& dispatcher, std::istream& in) {
+  std::string line;
+  fr::Frame frame;
+  int64_t line_no = 0;
+  while (!g_shutdown && std::getline(in, line)) {
+    ++line_no;
+    if (line.empty()) continue;
+    if (Status status = dispatcher.flusher_status(); !status.ok()) {
+      return Fail(status);
+    }
+    if (Status bad = serve::text::EncodeLine(line, &frame); !bad.ok()) {
+      return Fail(BadLine(line_no, bad));
+    }
+    const Status status = dispatcher.Handle(frame);
+    if (status.ok()) continue;
+    if (frame.frame_type() == fr::FrameType::kReload) {
+      // DEGRADED MODE, not fatal: the engine keeps serving the old
+      // generation, and the error names it.
+      std::cerr << "caee_serve: " << status << "\n";
+      continue;
+    }
+    return Fail(Status(status.code(), "line " + std::to_string(line_no) +
+                                          ": " + status.message()));
+  }
+  return Drain(dispatcher);
+}
+
+// Single-stream mode: `index,score,flag` per scored observation, checked
+// against the offline batch scores when --expect-scores is given.
+class SingleStreamSink : public serve::ResponseSink {
+ public:
+  SingleStreamSink(std::vector<double> expected, double tolerance)
+      : expected_(std::move(expected)), tolerance_(tolerance) {}
+
+  void Write(const fr::Frame& frame) override {
+    serve::StreamScore r;
+    // Only scores print; the reader reports error answers itself.
+    if (!fr::ParseScore(frame, &r).ok()) return;
+    ++scored_;
+    std::cout << r.index << "," << r.score << "," << (r.flag ? 1 : 0)
+              << "\n";
+    if (expected_.empty()) return;
+    // Batch scores cover every observation, but the first w-1 are scored
+    // from the first window only in the batch policy (Fig. 10) and are
+    // unavailable while streaming warms up — so compare from w-1 onward.
+    if (r.index >= static_cast<int64_t>(expected_.size())) {
+      status_ = Status::InvalidArgument(
+          "more observations than expected scores");
+      return;
+    }
+    const double want = expected_[static_cast<size_t>(r.index)];
+    const double diff = std::fabs(r.score - want);
+    if (!(diff <= tolerance_)) {
+      ++mismatches_;
+      worst_diff_ = std::max(worst_diff_, diff);
+      if (mismatches_ <= 5) {
+        std::cerr << "MISMATCH at " << r.index << ": streaming " << r.score
+                  << " vs batch " << want << "\n";
+      }
+    }
+  }
+  void Flush() override { std::cout.flush(); }
+
+  const Status& status() const { return status_; }
+
+  // The --expect-scores verdict, after the drain.
+  int Verdict(int64_t window) const {
+    if (expected_.empty()) return 0;
+    if (mismatches_ > 0) {
+      std::cerr << mismatches_ << " streaming/batch mismatches (worst |diff| "
+                << worst_diff_ << ")\n";
+      return 1;
+    }
+    // Guard against a vacuous pass: every expected score past warm-up must
+    // actually have been compared (a truncated --input would otherwise
+    // report success after verifying only a prefix).
+    const int64_t verifiable =
+        static_cast<int64_t>(expected_.size()) - (window - 1);
+    if (scored_ == 0 || scored_ < verifiable) {
+      std::cerr << "only " << scored_ << " of " << verifiable
+                << " expected post-warm-up scores were verified (input or "
+                   "expected-scores file truncated?)\n";
+      return 1;
+    }
+    std::cerr << "streaming scores reproduce the offline batch scores ("
+              << scored_ << " observations, tolerance " << tolerance_
+              << ")\n";
+    return 0;
   }
 
-  // End of input (or a shutdown signal): drain every shard, then stop the
-  // timer.
-  if (g_shutdown) {
-    std::cerr << "caee_serve: caught shutdown signal, draining shards\n";
-  }
-  results.clear();
-  const Status status = engine.Flush(&results);
-  stop_flusher();
-  if (!status.ok()) return Fail(status);
-  if (Status parked = check_flusher(); !parked.ok()) {
-    return Fail(Status(parked.code(),
-                       "deadline flush failed: " + parked.message()));
-  }
-  deliver(results);
-  std::cout.flush();
+ private:
+  const std::vector<double> expected_;
+  const double tolerance_;
+  Status status_;
+  int64_t scored_ = 0, mismatches_ = 0;
+  double worst_diff_ = 0.0;
+};
 
-  const serve::EngineStats stats = engine.Stats();
-  std::cerr << "scored " << scored << " windows across streams, " << alerts
-            << " flagged, " << stats.non_finite_scores
-            << " non-finite scores, " << backpressured
-            << " pushes backpressured (" << engine.num_streams()
-            << " sessions still open at EOF, " << config.num_shards
-            << " shards)\n";
-  if (stats.reloads + stats.failed_reloads > 0) {
-    std::cerr << "generation " << stats.generation << " live after "
-              << stats.reloads << " reload(s), " << stats.failed_reloads
-              << " rejected\n";
+int ServeSingleStream(const cli::Args& args, serve::ServingEngine& engine,
+                      int64_t window, std::istream& in) {
+  std::vector<double> expected;
+  if (args.Has("expect-scores")) {
+    std::ifstream scores_in(args.Get("expect-scores", ""));
+    if (!scores_in) {
+      return Fail(Status::IOError("cannot open expected-scores file"));
+    }
+    double value = 0.0;
+    while (scores_in >> value) expected.push_back(value);
+    if (expected.empty()) {
+      return Fail(Status::InvalidArgument(
+          "expected-scores file has no scores — nothing would be verified"));
+    }
   }
-  if (engine.spot() != nullptr) {
-    std::cerr << "drift: |exceed-rate shift| " << stats.drift << " over "
-              << stats.drift_window << " recent scores vs the calibration "
-              << "baseline (docs/thresholds.md)\n";
+  SingleStreamSink sink(std::move(expected), args.GetDouble("tolerance", 0.0));
+  serve::Dispatcher dispatcher(&engine, &sink, &std::cerr);
+  if (Status status = dispatcher.Handle(fr::MakeOpenFrame(0)); !status.ok()) {
+    return Fail(status);
   }
-  if (config.health.enabled) {
-    std::cerr << "health: " << stats.canary_rejections
-              << " canary rejection(s), " << stats.rollbacks
-              << " rollback(s), gauges over " << stats.health_window
-              << " recent scores: score-shift " << stats.score_shift
-              << ", dispersion-ratio " << stats.dispersion_ratio
-              << ", non-finite-rate " << stats.non_finite_rate
-              << ", alert-rate " << stats.alert_rate
-              << " (docs/operations.md)\n";
+  std::string line;
+  std::vector<float> observation;
+  int64_t index = -1;
+  while (!g_shutdown && std::getline(in, line)) {
+    if (line.empty()) continue;
+    ++index;
+    if (!serve::text::ParseObservation(line, &observation)) {
+      return Fail(Status::InvalidArgument("non-numeric observation at line " +
+                                          std::to_string(index + 1)));
+    }
+    if (Status status = dispatcher.Handle(fr::MakeObserveFrame(0, observation));
+        !status.ok()) {
+      return Fail(status);
+    }
+    if (!sink.status().ok()) return Fail(sink.status());
   }
-  return 0;
+  if (const int rc = Drain(dispatcher); rc != 0) return rc;
+  return sink.Verdict(window);
 }
 
 // ---------------------------------------------------------------------------
@@ -883,49 +439,22 @@ int RunMultiStreamBinary(const cli::Args& args, core::CaeEnsemble& ensemble,
 // ---------------------------------------------------------------------------
 
 int RunEncodeFrames(std::istream& in) {
-  namespace fr = serve::framing;
   std::string line;
-  std::vector<float> observation;
+  fr::Frame frame;
   int64_t line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) continue;
-    if (line.rfind("reload,", 0) == 0) {
-      fr::WriteFrame(std::cout, fr::MakeReloadFrame(line.substr(7)));
-      continue;
+    if (Status bad = serve::text::EncodeLine(line, &frame); !bad.ok()) {
+      return Fail(BadLine(line_no, bad));
     }
-    if (line == "health") {
-      fr::WriteFrame(std::cout, fr::MakeHealthFrame());
-      continue;
-    }
-    std::string verb;
-    int64_t id = 0;
-    std::optional<core::ThresholdPolicy> open_policy;
-    if (ParseControl(line, &verb, &id, &open_policy)) {
-      fr::Frame frame;
-      if (verb == "close") {
-        frame = fr::MakeCloseFrame(id);
-      } else if (open_policy.has_value()) {
-        frame = fr::MakeOpenFrame(id, *open_policy);
-      } else {
-        frame = fr::MakeOpenFrame(id);
-      }
-      fr::WriteFrame(std::cout, frame);
-    } else if (ParseStreamObservation(line, &id, &observation)) {
-      fr::WriteFrame(std::cout, fr::MakeObserveFrame(id, observation));
-    } else {
-      return Fail(Status::InvalidArgument(
-          "line " + std::to_string(line_no) +
-          " is neither `open,<id>[,static|spot]`/`close,<id>` nor "
-          "`<id>,v1,v2,...`"));
-    }
+    fr::WriteFrame(std::cout, frame);
   }
   std::cout.flush();
   return 0;
 }
 
 int RunDecodeFrames(std::istream& in) {
-  namespace fr = serve::framing;
   fr::Frame frame;
   int64_t frame_no = 0, errors = 0;
   while (true) {
@@ -936,124 +465,84 @@ int RunDecodeFrames(std::istream& in) {
     }
     if (eof) break;
     ++frame_no;
-    switch (frame.frame_type()) {
-      case fr::FrameType::kScore: {
-        serve::StreamScore score;
-        if (Status status = fr::ParseScore(frame, &score); !status.ok()) {
-          return Fail(status);
-        }
-        std::cout << score.stream_id << "," << score.index << ","
-                  << score.score << "," << (score.flag ? 1 : 0) << "\n";
-        break;
-      }
-      case fr::FrameType::kOk:
-        break;  // open/close ack: nothing to print
-      case fr::FrameType::kBackpressure:
-        std::cerr << "backpressure: stream " << frame.stream_id
-                  << " rejected (shard pending pool full)\n";
-        break;
-      case fr::FrameType::kError: {
-        Status error;
-        if (Status status = fr::ParseError(frame, &error); !status.ok()) {
-          return Fail(status);
-        }
-        std::cerr << "server error for stream " << frame.stream_id << ": "
-                  << error << "\n";
-        ++errors;
-        break;
-      }
-      case fr::FrameType::kHealthStatus: {
-        // Mirrors HandleTextHealth so the translator pipeline's stderr
-        // matches the text server's (docs/protocol.md).
-        fr::HealthStatus hs;
-        if (Status status = fr::ParseHealthStatus(frame, &hs);
-            !status.ok()) {
-          return Fail(status);
-        }
-        if (!hs.enabled) {
-          std::cerr << "health: monitoring off (serve with --health)\n";
-        } else {
-          std::cerr << "health: generation " << hs.generation << ", "
-                    << hs.window << " recent scores, score-shift "
-                    << hs.score_shift << ", dispersion-ratio "
-                    << hs.dispersion_ratio << ", non-finite-rate "
-                    << hs.non_finite_rate << ", alert-rate " << hs.alert_rate
-                    << ", " << hs.canary_rejections
-                    << " canary rejection(s), " << hs.rollbacks
-                    << " rollback(s)\n";
-        }
-        break;
-      }
-      default:
-        return Fail(Status::InvalidArgument(
-            "unexpected frame type " + std::to_string(frame.type) +
-            " in a response stream"));
+    if (Status status = serve::text::PrintResponse(frame, std::cout, std::cerr);
+        !status.ok()) {
+      return Fail(status);
     }
+    errors += frame.frame_type() == fr::FrameType::kError;
   }
   std::cout.flush();
   return errors == 0 ? 0 : 1;
+}
+
+// Flags that configure the multi-stream engine: meaningless without
+// --streams.
+const std::vector<std::string> kStreamFlags = {
+    "max-batch",    "flush-ms",          "shards",           "max-pending",
+    "binary",       "drift-threshold",   "drift-clear",      "health",
+    "health-shift", "health-dispersion", "health-nonfinite", "health-alert",
+    "probation"};
+// Flags of the serving modes as a whole.
+const std::vector<std::string> kServeFlags = {
+    "model", "threads", "expect-scores", "tolerance", "streams",
+    "threshold-policy"};
+
+bool HasAny(const cli::Args& args, const std::vector<std::string>& flags) {
+  for (const std::string& flag : flags) {
+    if (args.Has(flag)) return true;
+  }
+  return false;
+}
+
+// --input, or stdin; nullptr when the file cannot be opened. Binary so
+// frame bytes pass through untranslated; harmless for text.
+std::istream* OpenInput(const cli::Args& args, std::ifstream* file) {
+  if (!args.Has("input")) return &std::cin;
+  file->open(args.Get("input", ""), std::ios::binary);
+  return *file ? file : nullptr;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   cli::Args args(argc, argv);
-  args.RejectUnknown({"model", "input", "threads", "expect-scores",
-                      "tolerance", "streams", "max-batch", "flush-ms",
-                      "shards", "max-pending", "binary", "threshold-policy",
-                      "drift-threshold", "drift-clear", "health",
-                      "health-shift", "health-dispersion", "health-nonfinite",
-                      "health-alert", "probation", "encode-frames",
-                      "decode-frames", "help"},
-                     kUsage);
+  std::vector<std::string> known = kStreamFlags;
+  known.insert(known.end(), kServeFlags.begin(), kServeFlags.end());
+  known.insert(known.end(),
+               {"input", "encode-frames", "decode-frames", "help"});
+  args.RejectUnknown(known, kUsage);
   if (args.Has("help")) {
     std::cerr << kUsage;
     return 0;
   }
+  std::cout.precision(std::numeric_limits<double>::max_digits10);
+  std::ifstream file;
 
   // Translator modes are pure wire-format conversions — no model, no
   // engine. They reject every serving flag so a typo'd serving invocation
   // cannot silently degrade into a translator.
   if (args.Has("encode-frames") || args.Has("decode-frames")) {
-    for (const char* flag :
-         {"model", "threads", "expect-scores", "tolerance", "streams",
-          "max-batch", "flush-ms", "shards", "max-pending", "binary",
-          "threshold-policy", "drift-threshold", "drift-clear", "health",
-          "health-shift", "health-dispersion", "health-nonfinite",
-          "health-alert", "probation"}) {
-      if (args.Has(flag)) {
-        std::cerr << "--encode-frames/--decode-frames take only --input\n"
-                  << kUsage;
-        return 2;
-      }
+    if (HasAny(args, kServeFlags) || HasAny(args, kStreamFlags)) {
+      std::cerr << "--encode-frames/--decode-frames take only --input\n"
+                << kUsage;
+      return 2;
     }
     if (args.Has("encode-frames") && args.Has("decode-frames")) {
       std::cerr << "pick one of --encode-frames / --decode-frames\n"
                 << kUsage;
       return 2;
     }
-    std::ifstream file;
-    if (args.Has("input")) {
-      file.open(args.Get("input", ""), std::ios::binary);
-      if (!file) return Fail(Status::IOError("cannot open input file"));
-    }
-    std::istream& in = args.Has("input") ? file : std::cin;
-    std::cout.precision(std::numeric_limits<double>::max_digits10);
-    return args.Has("encode-frames") ? RunEncodeFrames(in)
-                                     : RunDecodeFrames(in);
+    std::istream* in = OpenInput(args, &file);
+    if (in == nullptr) return Fail(Status::IOError("cannot open input file"));
+    return args.Has("encode-frames") ? RunEncodeFrames(*in)
+                                     : RunDecodeFrames(*in);
   }
 
   if (!args.Has("model")) {
     std::cerr << kUsage;
     return 2;
   }
-  if (!args.Has("streams") &&
-      (args.Has("max-batch") || args.Has("flush-ms") || args.Has("shards") ||
-       args.Has("max-pending") || args.Has("binary") ||
-       args.Has("drift-threshold") || args.Has("drift-clear") ||
-       args.Has("health") || args.Has("health-shift") ||
-       args.Has("health-dispersion") || args.Has("health-nonfinite") ||
-       args.Has("health-alert") || args.Has("probation"))) {
+  if (!args.Has("streams") && HasAny(args, kStreamFlags)) {
     std::cerr << "--max-batch/--flush-ms/--shards/--max-pending/--binary/"
                  "--drift-threshold/--drift-clear/--health (and its knobs) "
                  "require --streams\n"
@@ -1114,23 +603,31 @@ int main(int argc, char** argv) {
             << (loaded->spot ? ", spot-calibrated" : "")
             << (loaded->health ? ", health-calibrated" : "") << "\n";
 
-  std::ifstream file;
-  if (args.Has("input")) {
-    // Binary so frame bytes pass through untranslated; harmless for text.
-    file.open(args.Get("input", ""), std::ios::binary);
-    if (!file) return Fail(Status::IOError("cannot open input file"));
+  auto config = ServeConfigFromArgs(args);
+  if (!config.ok()) return Fail(config.status());
+  if (!args.Has("streams")) {
+    // Single-stream mode is stream 0 on a one-shard engine: max_batch 1
+    // scores each warm observation inline, and no deadline flusher runs.
+    config->max_batch = 1;
+    config->flush_deadline_ms = 0;
   }
-  std::istream& in = args.Has("input") ? file : std::cin;
-  std::cout.precision(std::numeric_limits<double>::max_digits10);
+  config->threshold_policy = policy;
+  serve::ServingEngine engine(&ensemble, *config, loaded->threshold,
+                              loaded->spot, loaded->health);
+
+  std::istream* in = OpenInput(args, &file);
+  if (in == nullptr) return Fail(Status::IOError("cannot open input file"));
 
   InstallShutdownHandler();
-  if (args.Has("streams")) {
-    if (args.Has("binary")) {
-      return RunMultiStreamBinary(args, ensemble, loaded->threshold, policy,
-                                  loaded->spot, loaded->health, in);
-    }
-    return RunMultiStream(args, ensemble, loaded->threshold, policy,
-                          loaded->spot, loaded->health, in);
+  if (!args.Has("streams")) {
+    return ServeSingleStream(args, engine, ensemble.config().window, *in);
   }
-  return RunSingleStream(args, ensemble, threshold, policy, loaded->spot, in);
+  if (args.Has("binary")) {
+    FrameSink sink;
+    serve::Dispatcher dispatcher(&engine, &sink, &std::cerr);
+    return ServeBinary(dispatcher, *in);
+  }
+  TextSink sink;
+  serve::Dispatcher dispatcher(&engine, &sink, &std::cerr);
+  return ServeText(dispatcher, *in);
 }

@@ -4,30 +4,25 @@ namespace caee {
 namespace serve {
 
 DriftMonitor::DriftMonitor(const DriftMonitorConfig& config)
-    : config_(config) {}
+    : config_(config),
+      latch_(config.threshold,
+             config.clear > 0.0 ? config.clear : config.threshold / 2.0) {}
 
 std::optional<RepairRequest> DriftMonitor::Update(int64_t generation,
                                                   double drift,
                                                   int64_t drift_window) {
   if (!enabled()) return std::nullopt;
-  if (!armed_) {
-    // Disarmed: wait out the excursion. Strictly below the clear level —
-    // hovering AT it keeps the monitor quiet (the excursion has not
-    // convincingly ended).
-    if (drift < clear_level()) armed_ = true;
+  // A disarmed monitor may re-arm on a short window; only firing needs
+  // min_window scores behind the statistic.
+  if (!latch_.Update(drift, drift_window >= config_.min_window)) {
     return std::nullopt;
   }
-  if (drift_window < config_.min_window) return std::nullopt;
-  if (drift <= config_.threshold) return std::nullopt;
-  armed_ = false;
   RepairRequest request;
   request.generation = generation;
   request.drift = drift;
   request.drift_window = drift_window;
   return request;
 }
-
-void DriftMonitor::Reset() { armed_ = true; }
 
 }  // namespace serve
 }  // namespace caee

@@ -10,18 +10,18 @@
 // advisory naming caee_repair, and the repair CLI turns into a new
 // artifact for ReloadArtifact to hot-swap.
 //
-// Hysteresis, not a naive threshold: once fired, the monitor disarms until
-// drift falls back below `clear` (default threshold/2). A model that is
-// drifting STAYS drifted — without the disarm the monitor would emit a
-// repair request per flush cycle, thousands per second, for one incident.
-// A successful hot-swap resets the monitor (new calibration baseline, new
-// excursion accounting).
+// Hysteresis (serve/hysteresis.h), not a naive threshold: once fired, the
+// monitor disarms until drift falls back below `clear` (default
+// threshold/2). A successful hot-swap resets the monitor (new calibration
+// baseline, new excursion accounting).
 
 #ifndef CAEE_SERVE_DRIFT_MONITOR_H_
 #define CAEE_SERVE_DRIFT_MONITOR_H_
 
 #include <cstdint>
 #include <optional>
+
+#include "serve/hysteresis.h"
 
 namespace caee {
 namespace serve {
@@ -62,19 +62,15 @@ class DriftMonitor {
   /// \brief Forget the current excursion — called after a successful
   /// hot-swap, when the calibration baseline the statistic compares
   /// against has been replaced.
-  void Reset();
+  void Reset() { latch_.Reset(); }
 
   bool enabled() const { return config_.threshold > 0.0; }
-  bool armed() const { return armed_; }
+  bool armed() const { return latch_.armed(); }
   const DriftMonitorConfig& config() const { return config_; }
 
  private:
-  double clear_level() const {
-    return config_.clear > 0.0 ? config_.clear : config_.threshold / 2.0;
-  }
-
   DriftMonitorConfig config_;
-  bool armed_ = true;
+  Hysteresis latch_;
 };
 
 }  // namespace serve

@@ -59,6 +59,10 @@ inline constexpr uint8_t kFramingVersion = 1;
 /// payload (kObserve) is 4 + 4 * dims bytes.
 inline constexpr uint32_t kMaxFrameBytes = 1u << 20;
 
+/// \brief Longest path a reload frame carries: the frame bound less ample
+/// room for the header, the length field and the CRC.
+inline constexpr size_t kMaxReloadPathBytes = kMaxFrameBytes - 64;
+
 enum class FrameType : uint8_t {
   // Requests.
   kOpen = 1,      // open a session; empty payload = the server's default
@@ -120,7 +124,8 @@ Frame MakeCloseFrame(int64_t stream_id);
 Frame MakeObserveFrame(int64_t stream_id, const std::vector<float>& values);
 Frame MakeFlushFrame();
 /// \brief Admin hot-swap request: serve from the artifact at `path`
-/// (docs/operations.md). The path must fit the frame bound (CHECKed).
+/// (docs/operations.md). The path must fit kMaxReloadPathBytes
+/// (CHECKed).
 Frame MakeReloadFrame(const std::string& path);
 /// \brief Admin model-health report request (docs/operations.md).
 Frame MakeHealthFrame();

@@ -1,5 +1,7 @@
 #include "serve/health_monitor.h"
 
+#include <utility>
+
 namespace caee {
 namespace serve {
 namespace {
@@ -17,15 +19,6 @@ double SnapshotValue(const HealthSnapshot& snapshot, HealthSignal signal) {
   }
   return 0.0;
 }
-
-// Check order: most severe first, so one Update on a badly broken model
-// reports the signal that best explains the breakage.
-constexpr HealthSignal kCheckOrder[kNumHealthSignals] = {
-    HealthSignal::kNonFiniteRate,
-    HealthSignal::kDispersion,
-    HealthSignal::kScoreShift,
-    HealthSignal::kAlertRate,
-};
 
 }  // namespace
 
@@ -67,39 +60,27 @@ HealthVerdict ClassifyHealthSignal(HealthSignal signal) {
   return HealthVerdict::kHealthy;
 }
 
-HealthMonitor::HealthMonitor(const HealthConfig& config) : config_(config) {}
+HealthMonitor::HealthMonitor(const HealthConfig& config)
+    : config_(config),
+      shift_(config.shift_threshold, config.shift_threshold / 2.0),
+      dispersion_(config.dispersion_threshold,
+                  config.dispersion_threshold / 2.0),
+      non_finite_(config.non_finite_threshold,
+                  config.non_finite_threshold / 2.0),
+      alert_(config.alert_threshold, config.alert_threshold / 2.0) {}
 
-double HealthMonitor::threshold(HealthSignal signal) const {
+bool HealthMonitor::armed(HealthSignal signal) const {
   switch (signal) {
     case HealthSignal::kScoreShift:
-      return config_.shift_threshold;
+      return shift_.armed();
     case HealthSignal::kDispersion:
-      return config_.dispersion_threshold;
+      return dispersion_.armed();
     case HealthSignal::kNonFiniteRate:
-      return config_.non_finite_threshold;
+      return non_finite_.armed();
     case HealthSignal::kAlertRate:
-      return config_.alert_threshold;
-  }
-  return 0.0;
-}
-
-double HealthMonitor::clear_level(HealthSignal signal) const {
-  double clear = 0.0;
-  switch (signal) {
-    case HealthSignal::kScoreShift:
-      clear = config_.shift_clear;
-      break;
-    case HealthSignal::kDispersion:
-      clear = config_.dispersion_clear;
-      break;
-    case HealthSignal::kNonFiniteRate:
-      clear = config_.non_finite_clear;
-      break;
-    case HealthSignal::kAlertRate:
-      clear = config_.alert_clear;
       break;
   }
-  return clear > 0.0 ? clear : threshold(signal) / 2.0;
+  return alert_.armed();
 }
 
 std::optional<HealthEvent> HealthMonitor::Update(
@@ -107,26 +88,25 @@ std::optional<HealthEvent> HealthMonitor::Update(
   if (!config_.enabled || snapshot.window < config_.min_window) {
     return std::nullopt;
   }
+  // Every latch sees every update (a disarmed signal may re-arm), but at
+  // most one fires: checked most severe first, so one Update on a badly
+  // broken model reports the signal that best explains the breakage.
+  const std::pair<HealthSignal, Hysteresis*> checks[] = {
+      {HealthSignal::kNonFiniteRate, &non_finite_},
+      {HealthSignal::kDispersion, &dispersion_},
+      {HealthSignal::kScoreShift, &shift_},
+      {HealthSignal::kAlertRate, &alert_},
+  };
   std::optional<HealthEvent> fired;
-  for (HealthSignal signal : kCheckOrder) {
+  for (const auto& [signal, latch] : checks) {
     const double value = SnapshotValue(snapshot, signal);
-    bool& armed = armed_[static_cast<int>(signal)];
-    if (!armed) {
-      // Hysteresis: re-arm only once the statistic drops strictly below
-      // the clear level, so a lingering excursion fires exactly once.
-      if (value < clear_level(signal)) {
-        armed = true;
-      }
-      continue;
-    }
-    if (value > threshold(signal) && !fired.has_value()) {
-      armed = false;
+    if (latch->Update(value, /*may_fire=*/!fired.has_value())) {
       HealthEvent event;
       event.signal = signal;
       event.verdict = ClassifyHealthSignal(signal);
       event.generation = generation;
       event.value = value;
-      event.threshold = threshold(signal);
+      event.threshold = latch->threshold();
       event.window = snapshot.window;
       fired = event;
     }
@@ -135,8 +115,8 @@ std::optional<HealthEvent> HealthMonitor::Update(
 }
 
 void HealthMonitor::Reset() {
-  for (bool& armed : armed_) {
-    armed = true;
+  for (Hysteresis* latch : {&shift_, &dispersion_, &non_finite_, &alert_}) {
+    latch->Reset();
   }
 }
 

@@ -18,12 +18,13 @@
 //                   produces them);
 //   kAlertRate      fraction of flagged verdicts (alert runaway).
 //
-// Each signal has its own DriftMonitor-style hysteresis: fire once per
-// excursion, disarm, re-arm strictly below its clear level. An excursion
-// is CLASSIFIED: non-finite scores and member-agreement collapse can only
-// come from the model (kModelDegradation — the rollback escalation);
-// score shift and alert runaway alone are indistinguishable from the data
-// moving (kDataDrift — the existing drift -> repair advisory path).
+// Each signal has its own hysteresis latch (serve/hysteresis.h): fire once
+// per excursion, disarm, re-arm strictly below half its threshold. An
+// excursion is CLASSIFIED: non-finite scores and member-agreement collapse
+// can only come from the model (kModelDegradation — the rollback
+// escalation); score shift and alert runaway alone are indistinguishable
+// from the data moving (kDataDrift — the existing drift -> repair advisory
+// path).
 //
 // The monitor is pure policy over a snapshot of gauges; the engine owns
 // the gauges (shard health rings), the probation window, and the rollback
@@ -34,6 +35,8 @@
 
 #include <cstdint>
 #include <optional>
+
+#include "serve/hysteresis.h"
 
 namespace caee {
 namespace serve {
@@ -90,12 +93,6 @@ struct HealthConfig {
   double non_finite_threshold = 0.01;
   /// Fire kAlertRate when the flagged fraction exceeds this.
   double alert_threshold = 0.5;
-  /// Per-signal re-arm levels; <= 0 means half the matching threshold
-  /// (the DriftMonitor convention).
-  double shift_clear = 0.0;
-  double dispersion_clear = 0.0;
-  double non_finite_clear = 0.0;
-  double alert_clear = 0.0;
   /// Minimum scores behind the gauges before any signal is trusted (a
   /// near-empty ring after a swap reads as extreme shift).
   int64_t min_window = 64;
@@ -142,18 +139,13 @@ class HealthMonitor {
   void Reset();
 
   bool enabled() const { return config_.enabled; }
-  bool armed(HealthSignal signal) const {
-    return armed_[static_cast<int>(signal)];
-  }
+  bool armed(HealthSignal signal) const;
   const HealthConfig& config() const { return config_; }
-
-  /// \brief Effective threshold / re-arm level of one signal.
-  double threshold(HealthSignal signal) const;
-  double clear_level(HealthSignal signal) const;
 
  private:
   HealthConfig config_;
-  bool armed_[kNumHealthSignals] = {true, true, true, true};
+  // One latch per signal, re-arming at half its threshold.
+  Hysteresis shift_, dispersion_, non_finite_, alert_;
 };
 
 }  // namespace serve

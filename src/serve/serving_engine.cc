@@ -175,14 +175,7 @@ StatusOr<int64_t> ServingEngine::ReloadArtifact(const std::string& path) {
     // shard state was touched), so the next poll can fire a fresh
     // advisory — one per failed repair attempt, instead of silence after
     // the first firing (tests/drift_monitor_test.cc pins this).
-    {
-      std::lock_guard<std::mutex> lock(drift_mu_);
-      drift_monitor_.Reset();
-    }
-    {
-      std::lock_guard<std::mutex> lock(health_mu_);
-      health_monitor_.Reset();
-    }
+    ResetMonitors();
     return Status(s.code(),
                   "reload rejected, still serving generation " +
                       std::to_string(current->id) + ": " + s.message());
@@ -269,11 +262,7 @@ StatusOr<int64_t> ServingEngine::ReloadArtifact(const std::string& path) {
   // ahead of the cursor score on the new generation and shards behind it
   // on the old — every window still lands on exactly one generation.
   const std::shared_ptr<const Generation> adopted = std::move(gen);
-  for (auto& shard : shards_) shard->AdoptGeneration(adopted);
-  {
-    std::lock_guard<std::mutex> lock(gen_mu_);
-    gen_ = adopted;
-  }
+  InstallGeneration(adopted);
   {
     // New calibration baseline -> a fresh drift excursion accounting.
     std::lock_guard<std::mutex> lock(drift_mu_);
@@ -364,23 +353,28 @@ std::optional<HealthEvent> ServingEngine::PollHealth() {
   // mutex (the RCU grace period) and restarts its drift + health rings.
   // The restored generation keeps its ORIGINAL id — generation ids name
   // artifacts, and this artifact already has one.
-  for (auto& shard : shards_) shard->AdoptGeneration(target);
-  {
-    std::lock_guard<std::mutex> lock(gen_mu_);
-    gen_ = target;
-  }
-  {
-    std::lock_guard<std::mutex> lock(drift_mu_);
-    drift_monitor_.Reset();
-  }
-  {
-    std::lock_guard<std::mutex> lock(health_mu_);
-    health_monitor_.Reset();
-  }
+  InstallGeneration(target);
+  ResetMonitors();
   rollbacks_.fetch_add(1, std::memory_order_relaxed);
   event->rolled_back = true;
   event->rolled_back_to = target->id;
   return event;
+}
+
+void ServingEngine::InstallGeneration(
+    const std::shared_ptr<const Generation>& gen) {
+  for (auto& shard : shards_) shard->AdoptGeneration(gen);
+  std::lock_guard<std::mutex> lock(gen_mu_);
+  gen_ = gen;
+}
+
+void ServingEngine::ResetMonitors() {
+  {
+    std::lock_guard<std::mutex> lock(drift_mu_);
+    drift_monitor_.Reset();
+  }
+  std::lock_guard<std::mutex> lock(health_mu_);
+  health_monitor_.Reset();
 }
 
 bool ServingEngine::drift_armed() const {

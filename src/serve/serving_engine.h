@@ -276,6 +276,11 @@ class ServingEngine {
   }
 
   std::shared_ptr<const Generation> CurrentGeneration() const;
+  // Swap every shard, then the live pointer, onto `gen` (the shared
+  // fan-out of a reload and a rollback).
+  void InstallGeneration(const std::shared_ptr<const Generation>& gen);
+  // Re-arm the drift and health monitors, one leaf lock at a time.
+  void ResetMonitors();
 
   ServeConfig config_;
   // The live generation handle (serve/generation.h). gen_mu_ guards only

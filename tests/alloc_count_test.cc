@@ -353,7 +353,9 @@ TEST(AllocCountTest, SteadyStateAfterHotSwapAllocatesNothing) {
       << "post-swap steady-state serving performed heap allocations";
   // Everything in the counting window scored on the new generation.
   for (const auto& r : results) {
-    if (r.index >= 80) EXPECT_EQ(r.generation, 2);
+    if (r.index >= 80) {
+      EXPECT_EQ(r.generation, 2);
+    }
   }
 }
 

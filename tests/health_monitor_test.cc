@@ -298,26 +298,6 @@ TEST(HealthMonitorTest, ResetReArmsEverySignal) {
   EXPECT_EQ(fired->generation, 2);
 }
 
-TEST(HealthMonitorTest, ExplicitClearLevelsOverrideTheHalfDefault) {
-  serve::HealthConfig config = MonitorConfig();
-  config.shift_clear = 0.25;
-  serve::HealthMonitor monitor(config);
-  EXPECT_EQ(monitor.clear_level(serve::HealthSignal::kScoreShift), 0.25);
-  // Unset clears keep the DriftMonitor convention: half the threshold.
-  EXPECT_EQ(monitor.clear_level(serve::HealthSignal::kAlertRate), 0.25);
-  EXPECT_EQ(monitor.clear_level(serve::HealthSignal::kDispersion), 2.0);
-
-  serve::HealthSnapshot snapshot = Healthy();
-  snapshot.score_shift = 0.5;
-  ASSERT_TRUE(monitor.Update(1, snapshot).has_value());
-  snapshot.score_shift = 0.26;  // above the explicit clear: still disarmed
-  EXPECT_FALSE(monitor.Update(1, snapshot).has_value());
-  EXPECT_FALSE(monitor.armed(serve::HealthSignal::kScoreShift));
-  snapshot.score_shift = 0.24;  // strictly below: re-armed
-  EXPECT_FALSE(monitor.Update(1, snapshot).has_value());
-  EXPECT_TRUE(monitor.armed(serve::HealthSignal::kScoreShift));
-}
-
 TEST(HealthMonitorTest, NamesAreStableForOperatorOutput) {
   EXPECT_STREQ(serve::HealthSignalName(serve::HealthSignal::kScoreShift),
                "score-shift");
